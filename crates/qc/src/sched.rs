@@ -118,6 +118,10 @@ pub struct Crashed;
 struct TsState {
     rng: Rng,
     current: usize,
+    /// Whether `current` has consumed its grant (returned from a yield).
+    /// A granted thread that has not yet arrived must not trigger a
+    /// re-draw, or the schedule would depend on arrival timing.
+    holding: bool,
     active: Vec<bool>,
     crashed: bool,
     grants: u64,
@@ -127,6 +131,7 @@ impl TsState {
     /// Hands the baton to a seeded-random active thread (possibly the
     /// current one again).
     fn pass(&mut self) {
+        self.holding = false;
         let n = self.active.iter().filter(|a| **a).count() as u64;
         if n == 0 {
             return;
@@ -172,6 +177,7 @@ impl Turnstile {
         let mut st = TsState {
             rng: Rng::new(seed ^ 0x7572_6e73_7469_6c65), // "urnstile"
             current: 0,
+            holding: false,
             active: vec![true; threads],
             crashed: false,
             grants: 0,
@@ -181,8 +187,10 @@ impl Turnstile {
     }
 
     /// Blocks until thread `t` is granted the next step. If `t` already
-    /// holds the baton, it is re-drawn first (this is the interleaving
-    /// point).
+    /// holds the baton (it returned from an earlier yield), the baton is
+    /// re-drawn first — this is the interleaving point. A grant that `t`
+    /// has not yet consumed is taken as is, so the draw sequence never
+    /// depends on when threads first arrive.
     ///
     /// # Errors
     ///
@@ -197,7 +205,7 @@ impl Turnstile {
         if st.crashed {
             return Err(Crashed);
         }
-        if st.current == t {
+        if st.current == t && st.holding {
             st.pass();
             self.cv.notify_all();
         }
@@ -210,6 +218,7 @@ impl Turnstile {
         if st.crashed {
             return Err(Crashed);
         }
+        st.holding = true;
         Ok(())
     }
 

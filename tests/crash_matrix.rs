@@ -369,10 +369,16 @@ fn quarantine_race(seed: u64, run: u32) -> (u64, Vec<(u32, u32)>) {
     // the per-op error path this test is about. `ready` transitions at
     // schedule-determined points, so the race stays replayable per seed.
     let ready = std::sync::atomic::AtomicUsize::new(0);
+    // A reader is settled once it has bounced off the quarantine or has
+    // run out of ops. The quarantine stays up until every reader is
+    // settled, so each reader that can still reach the window does:
+    // coverage follows from the protocol, not from the seed.
+    let settled: Vec<std::sync::atomic::AtomicBool> =
+        (0..readers).map(|_| std::sync::atomic::AtomicBool::new(false)).collect();
 
     std::thread::scope(|s| {
         for t in 0..readers {
-            let (sp, ts, tallies, ready) = (&sp, &ts, &tallies, &ready);
+            let (sp, ts, tallies, ready, settled) = (&sp, &ts, &tallies, &ready, &settled);
             s.spawn(move || {
                 // First yield *before* touching the pool: setup takes real
                 // pool locks and must be serialized under the baton too.
@@ -416,20 +422,21 @@ fn quarantine_race(seed: u64, run: u32) -> (u64, Vec<(u32, u32)>) {
                                 "reader {t} op {j}: quarantine named the wrong page (seed {seed})"
                             );
                             media += 1;
+                            settled[t].store(true, std::sync::atomic::Ordering::Release);
                         }
                         Err(other) => panic!("reader {t} op {j}: unexpected error {other} (seed {seed})"),
                     }
                 }
                 tallies.lock().unwrap()[t] = (ok, media);
+                settled[t].store(true, std::sync::atomic::Ordering::Release);
                 ts.finish(t);
             });
         }
-        let (sp, ts, ready) = (&sp, &ts, &ready);
+        let (sp, ts, ready, settled) = (&sp, &ts, &ready, &settled);
         s.spawn(move || {
             let slot = readers;
             let mut scrub = Scrubber::new(ScrubConfig::default());
             let mut planted = false;
-            let mut age = 0u32;
             loop {
                 if ts.yield_point(slot).is_err() {
                     break;
@@ -441,17 +448,17 @@ fn quarantine_race(seed: u64, run: u32) -> (u64, Vec<(u32, u32)>) {
                     assert_eq!(sp.verify_all(), vec![bad_page]);
                     assert_eq!(sp.quarantined_page(), Some(bad_page), "peek sees the page");
                     planted = true;
-                    age = 0;
-                } else if sp.quarantined_page().is_some() && age >= 2 {
-                    // Let readers bounce off the quarantine for a couple of
-                    // grants, then run the escape-hatch protocol: salvage,
+                } else if sp.quarantined_page().is_some()
+                    && settled.iter().all(|r| r.load(std::sync::atomic::Ordering::Acquire))
+                {
+                    // Every reader with ops left has bounced off the
+                    // quarantine: run the escape-hatch protocol — salvage,
                     // verify, reseal, release (Scrubber::repair's order).
                     scrub.repair(sp);
                     assert!(sp.quarantined_page().is_none(), "release lifts the peek");
                 } else if sp.quarantined_page().is_none() && ts.active_count() <= 1 {
                     break;
                 }
-                age += 1;
             }
             // Never retire while the pool is still quarantined: readers
             // would be wedged against a quarantine nobody will lift.
