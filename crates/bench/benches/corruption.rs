@@ -26,11 +26,11 @@ use std::time::Instant;
 use utpr_bench::par;
 use utpr_bench::report::{BenchReport, Json};
 use utpr_heap::{AddressSpace, IntegrityMode};
-use utpr_kv::faultsweep::{
-    bitflip_campaign, sweep_structure, BitflipReport, BitflipSpec, SweepReport, SweepSpec,
-};
 use utpr_kv::workload::{generate, WorkloadSpec};
-use utpr_kv::{Benchmark, KvStore, Op};
+use utpr_kv::{
+    bitflip_campaign, sweep_structure, Benchmark, BitflipReport, BitflipSpec, KvStore, Op,
+    SweepReport, SweepSpec,
+};
 use utpr_ds::RbTree;
 use utpr_ptr::{ExecEnv, Mode, NullSink};
 

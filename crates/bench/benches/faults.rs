@@ -15,8 +15,7 @@
 use std::time::Instant;
 use utpr_bench::par;
 use utpr_bench::report::{BenchReport, Json};
-use utpr_kv::faultsweep::{sweep_structure, SweepReport, SweepSpec};
-use utpr_kv::Benchmark;
+use utpr_kv::{sweep_structure, Benchmark, SweepReport, SweepSpec};
 
 fn spec() -> SweepSpec {
     let seed = utpr_qc::runner::base_seed();
@@ -51,7 +50,7 @@ fn main() {
         sweep_structure(*b, &spec).expect("sweep setup failed")
     });
 
-    println!("\n=== Crash-point sweep (seed {}) ===", spec.seed);
+    println!("\n=== Crash-point sweep (seed {}) ===", spec.core.seed);
     let mut table = utpr_bench::Table::new(&["bench", "crash points", "tested", "rollbacks", "failures"]);
     let mut failed = 0usize;
     for r in &reports {
@@ -70,7 +69,7 @@ fn main() {
     println!("{}", table.render());
 
     let mut report = BenchReport::new("faults", par::jobs(), t0.elapsed());
-    report.set_extra("seed", Json::U64(spec.seed));
+    report.set_extra("seed", Json::U64(spec.core.seed));
     report.set_extra("total_failures", Json::U64(failed as u64));
     for r in &reports {
         report.push_record(report_json(r));
@@ -78,7 +77,7 @@ fn main() {
     report.write();
 
     if failed > 0 {
-        eprintln!("{failed} crash point(s) failed — replay with UTPR_QC_SEED={}", spec.seed);
+        eprintln!("{failed} crash point(s) failed — replay with UTPR_QC_SEED={}", spec.core.seed);
         std::process::exit(1);
     }
 }

@@ -1,19 +1,21 @@
 //! Systematic crash-point and media-fault sweeps over the data structures.
 //!
-//! For each structure this module builds a prepopulated pool, counts the
-//! durable-write boundaries of a transaction-wrapped insert/remove
-//! workload, then re-runs that workload once per crash point with the
-//! fault gate armed ([`utpr_heap::FaultPlan::crash_at`]): the "process"
-//! dies at the chosen boundary, [`utpr_heap::crash_and_recover`] restarts
-//! the address space and rolls back the torn transaction, and the
-//! recovered structure is checked against three oracles:
+//! For each structure this module prepares a prepopulated pool and a
+//! transaction-wrapped insert/remove workload, and hands both to the
+//! shared crash-campaign driver ([`crate::sweep`]): it counts the
+//! workload's durable-write boundaries, re-runs it once per crash point
+//! with the fault gate armed ([`utpr_heap::FaultPlan::crash_at`]), and
+//! asks this module's audit about each crashed image.
+//! [`utpr_heap::crash_and_recover`] restarts the address space and rolls
+//! back the torn transaction, and the recovered structure is checked
+//! against three oracles:
 //!
 //! 1. its own invariant validator ([`Index::validate`]),
 //! 2. exact contents against the transaction-prefix model the recovered
 //!    image must equal (the op being crashed either rolled back or — when
 //!    the crash struck its post-commit deferred frees — committed),
-//! 3. a mutation probe: the recovered structure must accept an
-//!    insert/lookup/remove and validate again.
+//! 3. a mutation probe: the recovered structure must accept a write and
+//!    validate again.
 //!
 //! Two media-fault variants ride on the same machinery:
 //!
@@ -33,13 +35,16 @@
 //!   lost keys. With CRC off, the same flips measure the silent-wrong
 //!   rate the integrity layer exists to prevent.
 //!
-//! Everything derives from [`SweepSpec::seed`], so a failure reproduces
-//! from `(seed, crash point)` alone — the two numbers every
+//! Everything derives from the spec's master seed, so a failure
+//! reproduces from `(seed, crash point)` alone — the two numbers every
 //! [`SweepFailure`] carries.
 
 use crate::harness::Benchmark;
 use crate::rng::Rng;
 use crate::store::KvStore;
+use crate::sweep::{
+    sweep, validated, End, Run, SweepCore, SweepFailure, SweepReport, Verdict, Workload,
+};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,10 +52,10 @@ use utpr_ds::{
     AvlTree, BPlusTree, HashMapIndex, Index, LinkedList, RbTree, ScapegoatTree, SplayTree,
 };
 use utpr_heap::{
-    crash_and_recover, select_points, AddressSpace, FaultPlan, FlushModel, HeapError,
-    IntegrityMode, PoolId, Region, SalvageStats,
+    crash_and_recover, AddressSpace, FaultPlan, FlushModel, HeapError, IntegrityMode, PoolId,
+    Region, SalvageStats,
 };
-use utpr_ptr::{site, ExecEnv, Mode, NullSink};
+use utpr_ptr::{site, ExecEnv, Mode, NullSink, UPtr};
 
 /// Result alias.
 pub type Result<T> = std::result::Result<T, HeapError>;
@@ -76,12 +81,8 @@ pub struct SweepSpec {
     pub prepopulate: u64,
     /// Transaction-wrapped operations run while armed.
     pub txn_ops: u64,
-    /// Boundary counts up to this are swept exhaustively.
-    pub exhaustive_limit: u64,
-    /// Seeded sample size above the exhaustive limit.
-    pub samples: u64,
-    /// Master seed: workload, layout, and sampling all derive from it.
-    pub seed: u64,
+    /// Crash-point selection and the master seed.
+    pub core: SweepCore,
     /// Whether crashes are clean or torn.
     pub flavor: FaultFlavor,
 }
@@ -92,9 +93,7 @@ impl SweepSpec {
         SweepSpec {
             prepopulate: 8,
             txn_ops: 6,
-            exhaustive_limit: u64::MAX,
-            samples: 0,
-            seed,
+            core: SweepCore::exhaustive(seed),
             flavor: FaultFlavor::Crash,
         }
     }
@@ -104,9 +103,7 @@ impl SweepSpec {
         SweepSpec {
             prepopulate: 64,
             txn_ops,
-            exhaustive_limit: 0,
-            samples,
-            seed,
+            core: SweepCore::sampled(seed, samples),
             flavor: FaultFlavor::Crash,
         }
     }
@@ -127,7 +124,7 @@ fn arm(env: &mut ExecEnv<NullSink>, spec: &SweepSpec, k: u64) {
             // ADR: durable writes pend per cache line until a fence; the
             // torn seed decides which pending words survive the drain.
             env.space_mut().set_flush_model(FlushModel::Adr);
-            let tseed = spec.seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let tseed = spec.core.seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
             env.space_mut().set_faults(FaultPlan::torn_at(k, tseed));
         }
     }
@@ -145,45 +142,6 @@ fn is_detected_corruption(spec: &SweepSpec, e: &HeapError) -> bool {
         )
 }
 
-/// One crash point that did not recover cleanly.
-#[derive(Clone, Debug)]
-pub struct SweepFailure {
-    /// Boundary index the gate was armed at.
-    pub crash_point: u64,
-    /// The sweep's master seed (set `UTPR_QC_SEED` to this to replay).
-    pub seed: u64,
-    /// What went wrong.
-    pub detail: String,
-}
-
-impl std::fmt::Display for SweepFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "crash point {} (replay with UTPR_QC_SEED={}): {}",
-            self.crash_point, self.seed, self.detail
-        )
-    }
-}
-
-/// What sweeping one structure produced.
-#[derive(Clone, Debug)]
-pub struct SweepReport {
-    /// Table III name of the structure.
-    pub benchmark: &'static str,
-    /// Durable-write boundaries the armed workload crosses.
-    pub boundaries: u64,
-    /// Crash points actually tested (== `boundaries` when exhaustive).
-    pub tested: u64,
-    /// Recoveries that rolled back a torn transaction.
-    pub rollbacks: u64,
-    /// Crash points where recovery surfaced a typed corruption error
-    /// (torn flavor only — detected damage, not a silent wrong answer).
-    pub detected: u64,
-    /// Crash points that failed an oracle.
-    pub failures: Vec<SweepFailure>,
-}
-
 /// Mixes the structure name into the master seed so each structure gets
 /// its own deterministic workload and pool layout.
 fn structure_seed(seed: u64, name: &str) -> u64 {
@@ -194,7 +152,47 @@ fn structure_seed(seed: u64, name: &str) -> u64 {
     x
 }
 
-// ---- map-structure sweep ---------------------------------------------------
+fn fresh_env(space: AddressSpace, pool: PoolId) -> ExecEnv<NullSink> {
+    ExecEnv::builder(space).mode(Mode::Hw).pool(pool).build()
+}
+
+// ---- transactional crash sweep ---------------------------------------------
+
+/// A structure the transactional sweep drives: its operations, the model
+/// they act on, and its oracles. The maps run behind a [`KvStore`]; the
+/// list is a queue of value pairs.
+trait Subject: Sized {
+    type Op: Copy;
+    type Model: Clone;
+    /// Table III name; it also salts the structure's seed.
+    const NAME: &'static str;
+
+    /// Creates the structure holding `n` committed entries drawn from
+    /// `rng`; returns its descriptor and the matching model.
+    fn populate(
+        env: &mut ExecEnv<NullSink>,
+        n: u64,
+        rng: &mut Rng,
+        keyspace: u64,
+    ) -> Result<(UPtr, Self::Model)>;
+    fn open(desc: UPtr) -> Self;
+    /// Draws one armed-workload operation.
+    fn draw(rng: &mut Rng, keyspace: u64) -> Self::Op;
+    fn apply(model: &mut Self::Model, op: Self::Op);
+    fn exec(&mut self, env: &mut ExecEnv<NullSink>, op: Self::Op) -> Result<()>;
+    fn validate(&self, env: &mut ExecEnv<NullSink>) -> Result<u64>;
+    /// Whether the recovered structure, whose validator counted `count`
+    /// entries, holds exactly `model`.
+    fn matches(
+        &mut self,
+        env: &mut ExecEnv<NullSink>,
+        model: &Self::Model,
+        count: u64,
+        keyspace: u64,
+    ) -> Result<bool>;
+    /// Mutation probe: whether the recovered structure accepts a write.
+    fn probe(&mut self, env: &mut ExecEnv<NullSink>) -> Result<bool>;
+}
 
 #[derive(Clone, Copy, Debug)]
 enum MapOp {
@@ -202,250 +200,82 @@ enum MapOp {
     Remove(u64),
 }
 
-fn map_ops(spec: &SweepSpec, seed: u64) -> Vec<MapOp> {
-    let mut rng = Rng::new(seed);
-    let keyspace = (spec.prepopulate * 2).max(4);
-    (0..spec.txn_ops)
-        .map(|_| {
+impl<I: Index> Subject for KvStore<I> {
+    type Op = MapOp;
+    type Model = BTreeMap<u64, u64>;
+    const NAME: &'static str = I::NAME;
+
+    fn populate(
+        env: &mut ExecEnv<NullSink>,
+        n: u64,
+        rng: &mut Rng,
+        keyspace: u64,
+    ) -> Result<(UPtr, Self::Model)> {
+        let mut store: KvStore<I> = KvStore::create(env)?;
+        let mut model = BTreeMap::new();
+        for _ in 0..n {
             let k = rng.below(keyspace);
-            if rng.below(3) == 0 {
-                MapOp::Remove(k)
-            } else {
-                MapOp::Insert(k, rng.next_u64() >> 1)
-            }
-        })
-        .collect()
-}
-
-fn fresh_env(space: AddressSpace, pool: PoolId) -> ExecEnv<NullSink> {
-    ExecEnv::builder(space).mode(Mode::Hw).pool(pool).build()
-}
-
-/// Runs `ops` each inside its own transaction; returns the number that
-/// committed and the error (if any) that killed the run.
-fn run_map_ops<I: Index>(
-    env: &mut ExecEnv<NullSink>,
-    store: &mut KvStore<I>,
-    ops: &[MapOp],
-) -> (usize, Option<HeapError>) {
-    for (i, op) in ops.iter().enumerate() {
-        let r = env.with_txn(|env| match *op {
-            MapOp::Insert(k, v) => store.set(env, k, v).map(|_| ()),
-            MapOp::Remove(k) => store.remove(env, k).map(|_| ()),
-        });
-        if let Err(e) = r {
-            return (i, Some(e));
+            let v = rng.next_u64() >> 1;
+            store.set(env, k, v)?;
+            model.insert(k, v);
         }
+        Ok((store.index().descriptor(), model))
     }
-    (ops.len(), None)
-}
-
-fn open_store<I: Index>(env: &mut ExecEnv<NullSink>) -> Result<KvStore<I>> {
-    let desc = env.root(site!("faultsweep.open-root", KnownReturn))?;
-    Ok(KvStore::open(desc))
-}
-
-/// Checks the recovered store against `model`: exact length and every key.
-fn check_map_contents<I: Index>(
-    env: &mut ExecEnv<NullSink>,
-    store: &mut KvStore<I>,
-    model: &BTreeMap<u64, u64>,
-    keyspace: u64,
-) -> Result<bool> {
-    if store.len(env)? != model.len() as u64 {
-        return Ok(false);
+    fn open(desc: UPtr) -> Self {
+        KvStore::open(desc)
     }
-    for k in 0..keyspace {
-        if store.get(env, k)? != model.get(&k).copied() {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-fn sweep_map<I: Index>(spec: &SweepSpec) -> Result<SweepReport> {
-    let sseed = structure_seed(spec.seed, I::NAME);
-    let keyspace = (spec.prepopulate * 2).max(4);
-
-    // Base image: prepopulated store, root set, undo log materialized (so
-    // its one-time allocation is not part of the armed boundary count).
-    let mut space = AddressSpace::new(sseed);
-    let pool = space.create_pool(POOL, POOL_BYTES)?;
-    let mut env = fresh_env(space, pool);
-    let mut store: KvStore<I> = KvStore::create(&mut env)?;
-    let mut model = BTreeMap::new();
-    let mut rng = Rng::new(sseed ^ 0x517c_c1b7_2722_0a95);
-    for _ in 0..spec.prepopulate {
+    fn draw(rng: &mut Rng, keyspace: u64) -> MapOp {
         let k = rng.below(keyspace);
-        let v = rng.next_u64() >> 1;
-        store.set(&mut env, k, v)?;
-        model.insert(k, v);
+        if rng.below(3) == 0 {
+            MapOp::Remove(k)
+        } else {
+            MapOp::Insert(k, rng.next_u64() >> 1)
+        }
     }
-    env.set_root(site!("faultsweep.set-root", StackLocal), store.index().descriptor())?;
-    env.with_txn(|_| Ok(()))?; // materialize the undo log outside the armed count
-    let (base_space, _, _) = env.into_parts();
-
-    // Transaction-prefix models: models[j] = state after j committed ops.
-    let ops = map_ops(spec, sseed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut models = vec![model.clone()];
-    for op in &ops {
-        let mut m = models.last().unwrap().clone();
-        match *op {
+    fn apply(model: &mut Self::Model, op: MapOp) {
+        match op {
             MapOp::Insert(k, v) => {
-                m.insert(k, v);
+                model.insert(k, v);
             }
             MapOp::Remove(k) => {
-                m.remove(&k);
+                model.remove(&k);
             }
         }
-        models.push(m);
     }
-
-    // Count the armed workload's durable-write boundaries.
-    let total = {
-        let mut env = fresh_env(base_space.clone(), pool);
-        env.space_mut().set_faults(FaultPlan::counting());
-        let mut store: KvStore<I> = open_store(&mut env)?;
-        let (done, err) = run_map_ops(&mut env, &mut store, &ops);
-        if let Some(e) = err {
-            return Err(e);
+    fn exec(&mut self, env: &mut ExecEnv<NullSink>, op: MapOp) -> Result<()> {
+        match op {
+            MapOp::Insert(k, v) => self.set(env, k, v).map(|_| ()),
+            MapOp::Remove(k) => self.remove(env, k).map(|_| ()),
         }
-        debug_assert_eq!(done, ops.len());
-        env.space().faults().writes()
-    };
-
-    let points = select_points(total, spec.exhaustive_limit, spec.samples, spec.seed);
-    let mut report = SweepReport {
-        benchmark: I::NAME,
-        boundaries: total,
-        tested: points.len() as u64,
-        rollbacks: 0,
-        detected: 0,
-        failures: Vec::new(),
-    };
-
-    for k in points {
-        let mut env = fresh_env(base_space.clone(), pool);
-        arm(&mut env, spec, k);
-        let mut store: KvStore<I> = open_store(&mut env)?;
-        let (committed, err) = run_map_ops(&mut env, &mut store, &ops);
-        match err {
-            Some(HeapError::CrashInjected { .. }) => {}
-            Some(e) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("armed run died of a non-crash error: {e}"),
-                });
-                continue;
-            }
-            None => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: "armed run completed without crashing".into(),
-                });
-                continue;
+    }
+    fn validate(&self, env: &mut ExecEnv<NullSink>) -> Result<u64> {
+        self.index().validate(env)
+    }
+    fn matches(
+        &mut self,
+        env: &mut ExecEnv<NullSink>,
+        model: &Self::Model,
+        count: u64,
+        keyspace: u64,
+    ) -> Result<bool> {
+        if model.len() as u64 != count || self.len(env)? != count {
+            return Ok(false);
+        }
+        for k in 0..keyspace {
+            if self.get(env, k)? != model.get(&k).copied() {
+                return Ok(false);
             }
         }
-
-        let (mut space, _, _) = env.into_parts();
-        let rec = match crash_and_recover(&mut space, POOL) {
-            Ok(r) => r,
-            Err(e) if is_detected_corruption(spec, &e) => {
-                report.detected += 1;
-                continue;
-            }
-            Err(e) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("recovery failed: {e}"),
-                });
-                continue;
-            }
-        };
-        if rec.rolled_back {
-            report.rollbacks += 1;
-        }
-
-        let mut env = fresh_env(space, rec.pool);
-        let mut store: KvStore<I> = open_store(&mut env)?;
-
-        // Oracle 1: the structure's own invariants.
-        let desc = store.index().descriptor();
-        let validated = catch_unwind(AssertUnwindSafe(|| I::open(desc).validate(&mut env)));
-        let count = match validated {
-            Ok(Ok(n)) => n,
-            Ok(Err(e)) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("validator errored: {e}"),
-                });
-                continue;
-            }
-            Err(panic) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("invariant violated: {}", panic_message(&panic)),
-                });
-                continue;
-            }
-        };
-
-        // Oracle 2: exact contents. The crashed op either rolled back
-        // (state == models[committed]) or the crash struck its deferred
-        // post-commit frees (state == models[committed + 1]).
-        let candidates = [committed, (committed + 1).min(ops.len())];
-        let mut matched = false;
-        for &j in &candidates {
-            if models[j].len() as u64 == count
-                && check_map_contents(&mut env, &mut store, &models[j], keyspace)?
-            {
-                matched = true;
-                break;
-            }
-        }
-        if !matched {
-            report.failures.push(SweepFailure {
-                crash_point: k,
-                seed: spec.seed,
-                detail: format!(
-                    "recovered contents match no transaction boundary (committed {committed}, count {count})"
-                ),
-            });
-            continue;
-        }
-
-        // Oracle 3: the recovered structure still works.
+        Ok(true)
+    }
+    fn probe(&mut self, env: &mut ExecEnv<NullSink>) -> Result<bool> {
         let probe_key = u64::MAX - 1;
-        store.set(&mut env, probe_key, 0xFEED)?;
-        if store.get(&mut env, probe_key)? != Some(0xFEED) {
-            report.failures.push(SweepFailure {
-                crash_point: k,
-                seed: spec.seed,
-                detail: "post-recovery probe key not readable".into(),
-            });
-            continue;
-        }
-        store.remove(&mut env, probe_key)?;
-    }
-    Ok(report)
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic".into()
+        self.set(env, probe_key, 0xFEED)?;
+        let readable = self.get(env, probe_key)? == Some(0xFEED);
+        self.remove(env, probe_key)?;
+        Ok(readable)
     }
 }
-
-// ---- linked-list sweep -----------------------------------------------------
 
 #[derive(Clone, Copy, Debug)]
 enum LlOp {
@@ -453,204 +283,194 @@ enum LlOp {
     Pop,
 }
 
-fn ll_ops(spec: &SweepSpec, seed: u64) -> Vec<LlOp> {
-    let mut rng = Rng::new(seed);
-    (0..spec.txn_ops)
-        .map(|_| {
-            if rng.below(3) == 0 {
-                LlOp::Pop
-            } else {
-                LlOp::Push(rng.next_u64() >> 1, rng.next_u64() >> 1)
-            }
-        })
-        .collect()
+fn pair_sum(model: &VecDeque<(u64, u64)>) -> u64 {
+    model.iter().fold(0u64, |a, (v0, v1)| a.wrapping_add(*v0).wrapping_add(*v1))
 }
 
-fn run_ll_ops(
-    env: &mut ExecEnv<NullSink>,
-    list: &mut LinkedList,
-    ops: &[LlOp],
-) -> (usize, Option<HeapError>) {
-    for (i, op) in ops.iter().enumerate() {
-        let r = env.with_txn(|env| match *op {
-            LlOp::Push(v0, v1) => list.push_back(env, v0, v1),
-            LlOp::Pop => list.pop_front(env).map(|_| ()),
-        });
-        if let Err(e) = r {
-            return (i, Some(e));
+impl Subject for LinkedList {
+    type Op = LlOp;
+    type Model = VecDeque<(u64, u64)>;
+    const NAME: &'static str = "LL";
+
+    fn populate(
+        env: &mut ExecEnv<NullSink>,
+        n: u64,
+        rng: &mut Rng,
+        _keyspace: u64,
+    ) -> Result<(UPtr, Self::Model)> {
+        let mut list = LinkedList::create(env)?;
+        let mut model = VecDeque::new();
+        for _ in 0..n {
+            let (v0, v1) = (rng.next_u64() >> 1, rng.next_u64() >> 1);
+            list.push_back(env, v0, v1)?;
+            model.push_back((v0, v1));
+        }
+        Ok((list.descriptor(), model))
+    }
+    fn open(desc: UPtr) -> Self {
+        LinkedList::open(desc)
+    }
+    fn draw(rng: &mut Rng, _keyspace: u64) -> LlOp {
+        if rng.below(3) == 0 {
+            LlOp::Pop
+        } else {
+            LlOp::Push(rng.next_u64() >> 1, rng.next_u64() >> 1)
         }
     }
-    (ops.len(), None)
-}
-
-fn ll_model_matches(
-    env: &mut ExecEnv<NullSink>,
-    list: &LinkedList,
-    model: &VecDeque<(u64, u64)>,
-) -> Result<bool> {
-    if list.len(env)? != model.len() as u64 {
-        return Ok(false);
+    fn apply(model: &mut Self::Model, op: LlOp) {
+        match op {
+            LlOp::Push(v0, v1) => model.push_back((v0, v1)),
+            LlOp::Pop => {
+                model.pop_front();
+            }
+        }
     }
-    let sum: u64 = model.iter().fold(0u64, |a, (v0, v1)| a.wrapping_add(*v0).wrapping_add(*v1));
-    Ok(list.iter_sum(env)? == sum)
+    fn exec(&mut self, env: &mut ExecEnv<NullSink>, op: LlOp) -> Result<()> {
+        match op {
+            LlOp::Push(v0, v1) => self.push_back(env, v0, v1),
+            LlOp::Pop => self.pop_front(env).map(|_| ()),
+        }
+    }
+    fn validate(&self, env: &mut ExecEnv<NullSink>) -> Result<u64> {
+        LinkedList::validate(self, env)
+    }
+    fn matches(
+        &mut self,
+        env: &mut ExecEnv<NullSink>,
+        model: &Self::Model,
+        count: u64,
+        _keyspace: u64,
+    ) -> Result<bool> {
+        Ok(model.len() as u64 == count
+            && self.len(env)? == count
+            && self.iter_sum(env)? == pair_sum(model))
+    }
+    fn probe(&mut self, env: &mut ExecEnv<NullSink>) -> Result<bool> {
+        let before = self.len(env)?;
+        self.push_back(env, 1, 2)?;
+        Ok(self.len(env)? == before + 1)
+    }
 }
 
-fn sweep_ll(spec: &SweepSpec) -> Result<SweepReport> {
-    let sseed = structure_seed(spec.seed, "LL");
+/// One structure's transactional sweep workload: the base image (the
+/// prepopulated store, its root set, and the undo log materialized so its
+/// one-time allocation is outside the armed count) plus the armed ops and
+/// their transaction-prefix models.
+struct TxnSweep<S: Subject> {
+    spec: SweepSpec,
+    base: AddressSpace,
+    pool: PoolId,
+    keyspace: u64,
+    ops: Vec<S::Op>,
+    /// `models[j]` is the state after `j` committed ops.
+    models: Vec<S::Model>,
+}
 
-    let mut space = AddressSpace::new(sseed);
+/// Builds a quiesced image in `space`: the sweep pool holding `S` with
+/// `n` committed entries behind the root, and the undo log materialized.
+/// Returns the image, the pool, and the model of its contents.
+fn populated<S: Subject>(
+    mut space: AddressSpace,
+    seed: u64,
+    n: u64,
+    keyspace: u64,
+) -> Result<(AddressSpace, PoolId, S::Model)> {
     let pool = space.create_pool(POOL, POOL_BYTES)?;
     let mut env = fresh_env(space, pool);
-    let mut list = LinkedList::create(&mut env)?;
-    let mut model = VecDeque::new();
-    let mut rng = Rng::new(sseed ^ 0x517c_c1b7_2722_0a95);
-    for _ in 0..spec.prepopulate {
-        let (v0, v1) = (rng.next_u64() >> 1, rng.next_u64() >> 1);
-        list.push_back(&mut env, v0, v1)?;
-        model.push_back((v0, v1));
+    let mut rng = Rng::new(seed ^ 0x517c_c1b7_2722_0a95);
+    let (desc, model) = S::populate(&mut env, n, &mut rng, keyspace)?;
+    env.set_root(site!("faultsweep.set-root", StackLocal), desc)?;
+    env.with_txn(|_| Ok(()))?;
+    let (space, _, _) = env.into_parts();
+    Ok((space, pool, model))
+}
+
+impl<S: Subject> TxnSweep<S> {
+    fn prepare(spec: &SweepSpec) -> Result<TxnSweep<S>> {
+        let sseed = structure_seed(spec.core.seed, S::NAME);
+        let keyspace = (spec.prepopulate * 2).max(4);
+        let (base, pool, model) =
+            populated::<S>(AddressSpace::new(sseed), sseed, spec.prepopulate, keyspace)?;
+
+        let mut rng = Rng::new(sseed ^ 0x9e37_79b9_7f4a_7c15);
+        let ops: Vec<S::Op> = (0..spec.txn_ops).map(|_| S::draw(&mut rng, keyspace)).collect();
+        let mut models = vec![model];
+        for &op in &ops {
+            let mut m = models[models.len() - 1].clone();
+            S::apply(&mut m, op);
+            models.push(m);
+        }
+        Ok(TxnSweep { spec: *spec, base, pool, keyspace, ops, models })
     }
-    env.set_root(site!("faultsweep.ll-root", StackLocal), list.descriptor())?;
-    env.with_txn(|_| Ok(()))?; // materialize the undo log outside the armed count
-    let (base_space, _, _) = env.into_parts();
+}
 
-    let ops = ll_ops(spec, sseed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut models = vec![model.clone()];
-    for op in &ops {
-        let mut m = models.last().unwrap().clone();
-        match *op {
-            LlOp::Push(v0, v1) => m.push_back((v0, v1)),
-            LlOp::Pop => {
-                m.pop_front();
-            }
+impl<S: Subject> Workload for TxnSweep<S> {
+    type Image = AddressSpace;
+    /// Transactions that committed before the run stopped.
+    type Seen = usize;
+
+    fn run(&self, crash_at: Option<u64>) -> Result<Run<AddressSpace, usize>> {
+        let mut env = fresh_env(self.base.clone(), self.pool);
+        match crash_at {
+            None => env.space_mut().set_faults(FaultPlan::counting()),
+            Some(k) => arm(&mut env, &self.spec, k),
         }
-        models.push(m);
+        let mut subject = S::open(env.root(site!("faultsweep.open-root", KnownReturn))?);
+        let (mut committed, mut err) = (0, None);
+        for &op in &self.ops {
+            if let Err(e) = env.with_txn(|env| subject.exec(env, op)) {
+                err = Some(e);
+                break;
+            }
+            committed += 1;
+        }
+        let writes = env.space().faults().writes();
+        let (image, _, _) = env.into_parts();
+        Ok(Run { image, seen: committed, writes, end: End::of(err) })
     }
 
-    let total = {
-        let mut env = fresh_env(base_space.clone(), pool);
-        env.space_mut().set_faults(FaultPlan::counting());
-        let desc = env.root(site!("faultsweep.ll-count", KnownReturn))?;
-        let mut list = LinkedList::open(desc);
-        let (done, err) = run_ll_ops(&mut env, &mut list, &ops);
-        if let Some(e) = err {
-            return Err(e);
-        }
-        debug_assert_eq!(done, ops.len());
-        env.space().faults().writes()
-    };
-
-    let points = select_points(total, spec.exhaustive_limit, spec.samples, spec.seed);
-    let mut report = SweepReport {
-        benchmark: "LL",
-        boundaries: total,
-        tested: points.len() as u64,
-        rollbacks: 0,
-        detected: 0,
-        failures: Vec::new(),
-    };
-
-    for k in points {
-        let mut env = fresh_env(base_space.clone(), pool);
-        arm(&mut env, spec, k);
-        let desc = env.root(site!("faultsweep.ll-armed", KnownReturn))?;
-        let mut list = LinkedList::open(desc);
-        let (committed, err) = run_ll_ops(&mut env, &mut list, &ops);
-        match err {
-            Some(HeapError::CrashInjected { .. }) => {}
-            Some(e) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("armed run died of a non-crash error: {e}"),
-                });
-                continue;
-            }
-            None => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: "armed run completed without crashing".into(),
-                });
-                continue;
-            }
-        }
-
-        let (mut space, _, _) = env.into_parts();
+    fn audit(
+        &self,
+        _k: u64,
+        run: Run<AddressSpace, usize>,
+    ) -> std::result::Result<Verdict, String> {
+        let e2s = |e: HeapError| format!("harness error: {e}");
+        let mut space = run.image;
         let rec = match crash_and_recover(&mut space, POOL) {
             Ok(r) => r,
-            Err(e) if is_detected_corruption(spec, &e) => {
-                report.detected += 1;
-                continue;
-            }
-            Err(e) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("recovery failed: {e}"),
-                });
-                continue;
-            }
+            Err(e) if is_detected_corruption(&self.spec, &e) => return Ok(Verdict::Detected),
+            Err(e) => return Err(format!("recovery failed: {e}")),
         };
-        if rec.rolled_back {
-            report.rollbacks += 1;
-        }
-
         let mut env = fresh_env(space, rec.pool);
-        let desc = env.root(site!("faultsweep.ll-check", KnownReturn))?;
-        let list = LinkedList::open(desc);
+        let desc = env.root(site!("faultsweep.check-root", KnownReturn)).map_err(e2s)?;
+        let mut subject = S::open(desc);
 
-        let validated = catch_unwind(AssertUnwindSafe(|| list.validate(&mut env)));
-        match validated {
-            Ok(Ok(_)) => {}
-            Ok(Err(e)) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("validator errored: {e}"),
-                });
-                continue;
-            }
-            Err(panic) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("invariant violated: {}", panic_message(&panic)),
-                });
-                continue;
-            }
-        }
+        // Oracle 1: the structure's own invariants.
+        let count = validated(|| subject.validate(&mut env))?;
 
-        let candidates = [committed, (committed + 1).min(ops.len())];
+        // Oracle 2: exact contents. The crashed op either rolled back
+        // (state == models[committed]) or the crash struck its deferred
+        // post-commit frees (state == models[committed + 1]).
+        let committed = run.seen;
         let mut matched = false;
-        for &j in &candidates {
-            if ll_model_matches(&mut env, &list, &models[j])? {
+        for j in [committed, (committed + 1).min(self.ops.len())] {
+            if subject.matches(&mut env, &self.models[j], count, self.keyspace).map_err(e2s)? {
                 matched = true;
                 break;
             }
         }
         if !matched {
-            report.failures.push(SweepFailure {
-                crash_point: k,
-                seed: spec.seed,
-                detail: format!(
-                    "recovered list matches no transaction boundary (committed {committed})"
-                ),
-            });
-            continue;
+            return Err(format!(
+                "recovered contents match no transaction boundary (committed {committed}, count {count})"
+            ));
         }
 
-        let mut list = LinkedList::open(desc);
-        let before = list.len(&mut env)?;
-        list.push_back(&mut env, 1, 2)?;
-        if list.len(&mut env)? != before + 1 {
-            report.failures.push(SweepFailure {
-                crash_point: k,
-                seed: spec.seed,
-                detail: "post-recovery probe push not visible".into(),
-            });
+        // Oracle 3: the recovered structure still works.
+        if !subject.probe(&mut env).map_err(e2s)? {
+            return Err("post-recovery probe write not visible".into());
         }
+        Ok(Verdict::Recovered { cut: rec.rolled_back })
     }
-    Ok(report)
 }
 
 // ---- bit-flip retention campaign -------------------------------------------
@@ -822,20 +642,8 @@ fn bitflip_map<I: Index>(spec: &BitflipSpec) -> Result<BitflipReport> {
         let tseed = sseed ^ (t.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1);
         let mut space = AddressSpace::new(tseed);
         space.set_integrity(if spec.crc { IntegrityMode::Crc } else { IntegrityMode::Off });
-        let pool = space.create_pool(POOL, POOL_BYTES)?;
-        let mut env = fresh_env(space, pool);
-        let mut store: KvStore<I> = KvStore::create(&mut env)?;
-        let mut model = BTreeMap::new();
-        let mut rng = Rng::new(tseed ^ 0x517c_c1b7_2722_0a95);
-        for _ in 0..spec.prepopulate {
-            let k = rng.below(keyspace);
-            let v = rng.next_u64() >> 1;
-            store.set(&mut env, k, v)?;
-            model.insert(k, v);
-        }
-        env.set_root(site!("faultsweep.flip-root", StackLocal), store.index().descriptor())?;
-        env.with_txn(|_| Ok(()))?; // materialize the undo log
-        let (mut space, _, _) = env.into_parts();
+        let (mut space, _, model) =
+            populated::<KvStore<I>>(space, tseed, spec.prepopulate, keyspace)?;
 
         // Power off with retention errors queued for the off window.
         space.set_faults(
@@ -901,19 +709,8 @@ fn bitflip_ll(spec: &BitflipSpec) -> Result<BitflipReport> {
         let tseed = sseed ^ (t.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1);
         let mut space = AddressSpace::new(tseed);
         space.set_integrity(if spec.crc { IntegrityMode::Crc } else { IntegrityMode::Off });
-        let pool = space.create_pool(POOL, POOL_BYTES)?;
-        let mut env = fresh_env(space, pool);
-        let mut list = LinkedList::create(&mut env)?;
-        let mut model = VecDeque::new();
-        let mut rng = Rng::new(tseed ^ 0x517c_c1b7_2722_0a95);
-        for _ in 0..spec.prepopulate {
-            let (v0, v1) = (rng.next_u64() >> 1, rng.next_u64() >> 1);
-            list.push_back(&mut env, v0, v1)?;
-            model.push_back((v0, v1));
-        }
-        env.set_root(site!("faultsweep.flip-ll-root", StackLocal), list.descriptor())?;
-        env.with_txn(|_| Ok(()))?;
-        let (mut space, _, _) = env.into_parts();
+        // A list draws no keys, so it needs no key space.
+        let (mut space, _, model) = populated::<LinkedList>(space, tseed, spec.prepopulate, 0)?;
 
         space.set_faults(
             FaultPlan::counting().with_bitflips(tseed ^ 0xf11b_f11b, spec.flips),
@@ -925,10 +722,7 @@ fn bitflip_ll(spec: &BitflipSpec) -> Result<BitflipReport> {
                 let desc = env.root(site!("faultsweep.flip-ll-probe", KnownReturn))?;
                 let list = LinkedList::open(desc);
                 list.validate(env)?;
-                let sum: u64 = model
-                    .iter()
-                    .fold(0u64, |a, (v0, v1)| a.wrapping_add(*v0).wrapping_add(*v1));
-                Ok(list.len(env)? == model.len() as u64 && list.iter_sum(env)? == sum)
+                Ok(list.len(env)? == model.len() as u64 && list.iter_sum(env)? == pair_sum(&model))
             }));
             match r {
                 Ok(Ok(true)) => Probe::Clean,
@@ -1027,14 +821,17 @@ pub fn bitflip_all(spec: &BitflipSpec) -> Result<Vec<BitflipReport>> {
 /// Propagates setup failures (workload bugs, not crash-consistency
 /// findings — those land in [`SweepReport::failures`]).
 pub fn sweep_structure(benchmark: Benchmark, spec: &SweepSpec) -> Result<SweepReport> {
+    fn go<S: Subject>(spec: &SweepSpec) -> Result<SweepReport> {
+        sweep(S::NAME, &TxnSweep::<S>::prepare(spec)?, &spec.core)
+    }
     match benchmark {
-        Benchmark::Ll => sweep_ll(spec),
-        Benchmark::Hash => sweep_map::<HashMapIndex>(spec),
-        Benchmark::Rb => sweep_map::<RbTree>(spec),
-        Benchmark::Splay => sweep_map::<SplayTree>(spec),
-        Benchmark::Avl => sweep_map::<AvlTree>(spec),
-        Benchmark::Sg => sweep_map::<ScapegoatTree>(spec),
-        Benchmark::Bplus => sweep_map::<BPlusTree>(spec),
+        Benchmark::Ll => go::<LinkedList>(spec),
+        Benchmark::Hash => go::<KvStore<HashMapIndex>>(spec),
+        Benchmark::Rb => go::<KvStore<RbTree>>(spec),
+        Benchmark::Splay => go::<KvStore<SplayTree>>(spec),
+        Benchmark::Avl => go::<KvStore<AvlTree>>(spec),
+        Benchmark::Sg => go::<KvStore<ScapegoatTree>>(spec),
+        Benchmark::Bplus => go::<KvStore<BPlusTree>>(spec),
     }
 }
 

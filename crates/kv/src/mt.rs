@@ -20,23 +20,24 @@
 //!   a genuinely interleaved multi-thread history. Recovery adopts the
 //!   crashed image in a fresh space and rolls back **every** thread's
 //!   undo-log slot ([`UndoLog::recover`] walks the whole slot
-//!   directory); the faultsweep oracle battery then runs per thread.
-//!   Any failure replays from `(seed, crash point)` alone — the same
-//!   `UTPR_QC_SEED` contract as the property runner.
+//!   directory); the faultsweep oracle battery then runs per thread. The
+//!   shared driver ([`crate::sweep`]) sequences census, armed runs, and
+//!   audits, so any failure replays from `(seed, crash point)` alone —
+//!   the same `UTPR_QC_SEED` contract as the property runner.
 //!
 //! Shared pools are eADR-only, so the sweeps here are clean-crash sweeps:
 //! the pool-wide gate counts durable writes across all threads like one
 //! machine-wide power failure (torn-write sweeps stay single-threaded in
 //! [`crate::faultsweep`]).
 
-use crate::faultsweep::SweepFailure;
+use crate::rng::mix;
 use crate::store::{KvStore, RunSummary};
+use crate::sweep::{sweep, validated, End, Run, SweepCore, SweepReport, Verdict, Workload};
 use crate::ycsb::{generate_preset, Preset};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use utpr_ds::{IndexCore, RbTree};
 use utpr_heap::{
-    select_points, AddressSpace, FaultPlan, HeapError, SharedPool, SlabId, TransStats, UndoLog,
+    AddressSpace, FaultPlan, HeapError, PoolId, SharedPool, SlabId, TransStats, UndoLog,
 };
 use utpr_ptr::{site, ExecEnv, Mode, NullSink, PtrStats};
 use utpr_qc::sched::{schedule, steps, Policy};
@@ -51,16 +52,6 @@ pub type Result<T> = std::result::Result<T, HeapError>;
 pub const PARTITIONS: u64 = 16;
 
 const POOL_BYTES: u64 = 64 << 20;
-
-/// splitmix64-style finalizer for deriving per-thread / per-op values.
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut x = seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 // ---- multi-threaded YCSB ---------------------------------------------------
 
@@ -260,12 +251,9 @@ pub struct MtSweepSpec {
     pub ops_per_thread: u64,
     /// Keys committed per thread before the gate is armed.
     pub prepopulate: u64,
-    /// Boundary counts up to this are swept exhaustively.
-    pub exhaustive_limit: u64,
-    /// Seeded sample size above the exhaustive limit.
-    pub samples: u64,
-    /// Master seed: schedule, values, and sampling all derive from it.
-    pub seed: u64,
+    /// Crash-point selection and the master seed (the schedule and the
+    /// values derive from it too).
+    pub core: SweepCore,
 }
 
 impl MtSweepSpec {
@@ -276,9 +264,7 @@ impl MtSweepSpec {
             threads: 3,
             ops_per_thread: 3,
             prepopulate: 3,
-            exhaustive_limit: u64::MAX,
-            samples: 0,
-            seed,
+            core: SweepCore::exhaustive(seed),
         }
     }
 
@@ -289,27 +275,9 @@ impl MtSweepSpec {
             threads,
             ops_per_thread,
             prepopulate: 4,
-            exhaustive_limit: 0,
-            samples,
-            seed,
+            core: SweepCore::sampled(seed, samples),
         }
     }
-}
-
-/// What one concurrent sweep produced.
-#[derive(Clone, Debug)]
-pub struct MtSweepReport {
-    /// Logical threads interleaved.
-    pub threads: u32,
-    /// Durable-write boundaries the interleaved workload crosses.
-    pub boundaries: u64,
-    /// Crash points actually tested.
-    pub tested: u64,
-    /// Recoveries that rolled back at least one torn transaction.
-    pub rollbacks: u64,
-    /// Crash points that failed an oracle (each one prints the replay
-    /// seed).
-    pub failures: Vec<SweepFailure>,
 }
 
 const SWEEP_POOL_BYTES: u64 = 24 << 20;
@@ -331,197 +299,197 @@ fn op_val(seed: u64, t: u64, j: u64) -> u64 {
     mix(seed, 0x0b5e ^ (t << 20) ^ j)
 }
 
-/// Builds the base image: one store + slab + undo-log slot per thread, a
-/// descriptor directory as the pool root.
-fn build_sweep_base(spec: &MtSweepSpec) -> Result<(Arc<SharedPool>, Vec<SlabId>)> {
-    let t64 = u64::from(spec.threads);
-    let sp = SharedPool::create("mt-sweep", SWEEP_POOL_BYTES, 8)?;
-    let slabs: Vec<SlabId> =
-        (0..t64).map(|_| sp.carve_slab(192 << 10)).collect::<Result<Vec<_>>>()?;
-
-    let mut space = AddressSpace::new(mix(spec.seed, 0x5E7));
-    let pool = space.adopt_shared(&sp)?;
-    let mut env = ExecEnv::builder(space).mode(Mode::Hw).pool(pool).build();
-    let dir = env.alloc(site!("mt.sweep-dir", StackLocal), t64 * 8)?;
-    for t in 0..t64 {
-        env.space_mut().bind_arena_slab(pool, slabs[t as usize])?;
-        let mut store: KvStore<RbTree> = KvStore::create(&mut env)?;
-        store.set(&mut env, counter_key(t), 0)?;
-        for i in 0..spec.prepopulate {
-            store.set(&mut env, prepop_key(t, i), prepop_val(spec.seed, t, i))?;
-        }
-        env.write_ptr(
-            site!("mt.sweep-slot", StackLocal),
-            dir,
-            (t * 8) as i64,
-            store.index().descriptor(),
-        )?;
-        // Materialize thread t's undo-log slot now, single-threaded, so
-        // slot creation is outside the armed boundary count (directory
-        // slot installation is not thread-safe by design).
-        UndoLog::ensure_slot(env.space_mut(), pool, 1 << 16, t)?;
-    }
-    env.set_root(site!("mt.sweep-root", StackLocal), dir)?;
-    Ok((sp, slabs))
+/// The interleaved-transaction workload: one store + slab + undo-log slot
+/// per thread in one shared pool (a descriptor directory as the pool
+/// root), and the seeded schedule the threads' transactions run in.
+struct MtSweep {
+    spec: MtSweepSpec,
+    base: Arc<SharedPool>,
+    slabs: Vec<SlabId>,
+    order: Vec<u32>,
 }
 
-struct DriveOut {
-    /// Transactions the driver saw commit, per thread.
-    committed: Vec<u64>,
-    /// Whether the armed gate tripped.
-    crashed: bool,
-    /// A non-crash error that killed the run (a harness bug).
-    hard: Option<HeapError>,
-}
+impl MtSweep {
+    fn prepare(spec: &MtSweepSpec) -> Result<MtSweep> {
+        let (seed, t64) = (spec.core.seed, u64::from(spec.threads));
+        let base = SharedPool::create("mt-sweep", SWEEP_POOL_BYTES, 8)?;
+        let slabs: Vec<SlabId> =
+            (0..t64).map(|_| base.carve_slab(192 << 10)).collect::<Result<Vec<_>>>()?;
 
-/// Replays the interleaved schedule against `sp`: one logical env + store
-/// per thread, each transaction owned by exactly one thread's undo-log
-/// slot. Serial execution in schedule order is what makes the armed
-/// boundary land at the same instruction every replay.
-fn drive(
-    sp: &Arc<SharedPool>,
-    slabs: &[SlabId],
-    spec: &MtSweepSpec,
-    order: &[u32],
-) -> Result<DriveOut> {
-    let t64 = u64::from(spec.threads);
-    let mut envs: Vec<ExecEnv<NullSink>> = Vec::with_capacity(spec.threads as usize);
-    let mut stores: Vec<KvStore<RbTree>> = Vec::with_capacity(spec.threads as usize);
-    for t in 0..t64 {
-        let mut space = AddressSpace::new(mix(spec.seed, 0xD21 ^ (t + 1)));
-        let pool = space.adopt_shared(sp)?;
-        space.bind_arena_slab(pool, slabs[t as usize])?;
-        let mut env = ExecEnv::builder(space)
-            .mode(Mode::Hw)
-            .pool(pool)
-            .txn_slot(t)
-            .build();
-        let dir = env.root(site!("mt.sweep-open", KnownReturn))?;
-        let desc = env.read_ptr(site!("mt.sweep-desc", KnownReturn), dir, (t * 8) as i64)?;
-        stores.push(KvStore::open(desc));
-        envs.push(env);
-    }
-
-    let mut out = DriveOut {
-        committed: vec![0; spec.threads as usize],
-        crashed: false,
-        hard: None,
-    };
-    for (t, j) in steps(order) {
-        let ti = t as usize;
-        let (env, store) = (&mut envs[ti], &mut stores[ti]);
-        let (key, val) = (op_key(u64::from(t), j), op_val(spec.seed, u64::from(t), j));
-        let r = env.with_txn(|env| {
-            store.set(env, key, val)?;
-            store.set(env, counter_key(u64::from(t)), j + 1)?;
-            Ok(())
-        });
-        match r {
-            Ok(()) => out.committed[ti] += 1,
-            Err(HeapError::CrashInjected { .. }) => {
-                // A tripped gate is machine-wide: every thread stops here.
-                out.crashed = true;
-                break;
+        let mut space = AddressSpace::new(mix(seed, 0x5E7));
+        let pool = space.adopt_shared(&base)?;
+        let mut env = ExecEnv::builder(space).mode(Mode::Hw).pool(pool).build();
+        let dir = env.alloc(site!("mt.sweep-dir", StackLocal), t64 * 8)?;
+        for t in 0..t64 {
+            env.space_mut().bind_arena_slab(pool, slabs[t as usize])?;
+            let mut store: KvStore<RbTree> = KvStore::create(&mut env)?;
+            store.set(&mut env, counter_key(t), 0)?;
+            for i in 0..spec.prepopulate {
+                store.set(&mut env, prepop_key(t, i), prepop_val(seed, t, i))?;
             }
-            Err(e) => {
-                out.hard = Some(e);
-                break;
-            }
+            env.write_ptr(
+                site!("mt.sweep-slot", StackLocal),
+                dir,
+                (t * 8) as i64,
+                store.index().descriptor(),
+            )?;
+            // Materialize thread t's undo-log slot now, single-threaded, so
+            // slot creation is outside the armed boundary count (directory
+            // slot installation is not thread-safe by design).
+            UndoLog::ensure_slot(env.space_mut(), pool, 1 << 16, t)?;
         }
-    }
-    Ok(out)
-}
-
-/// Drives one armed trial, recovers it, and runs the oracle battery.
-/// Returns whether recovery rolled anything back; an `Err` is the failure
-/// detail for the report.
-fn check_point(
-    base: &Arc<SharedPool>,
-    slabs: &[SlabId],
-    spec: &MtSweepSpec,
-    order: &[u32],
-    k: u64,
-) -> std::result::Result<bool, String> {
-    let e2s = |e: HeapError| format!("harness error: {e}");
-    let trial = base.snapshot();
-    trial.set_faults(FaultPlan::crash_at(k));
-    let d = drive(&trial, slabs, spec, order).map_err(e2s)?;
-    if let Some(e) = d.hard {
-        return Err(format!("armed run died of a non-crash error: {e}"));
-    }
-    if !d.crashed {
-        return Err("armed run completed without crashing".into());
+        env.set_root(site!("mt.sweep-root", StackLocal), dir)?;
+        let order = schedule(Policy::Seeded(seed), &vec![spec.ops_per_thread; t64 as usize]);
+        Ok(MtSweep { spec: *spec, base, slabs, order })
     }
 
-    // "Restart": the workers' shards are gone; a fresh space adopts the
-    // crashed image with the gate cleared and rolls back every slot.
-    trial.set_faults(FaultPlan::disabled());
-    let mut rspace = AddressSpace::new(mix(spec.seed, 0x42EC ^ k));
-    let rpool = rspace.adopt_shared(&trial).map_err(e2s)?;
-    let rolled =
-        UndoLog::recover(&mut rspace, rpool).map_err(|e| format!("recovery failed: {e}"))?;
-    trial.validate().map_err(|e| format!("allocator invariants violated: {e}"))?;
+    /// "Restart": the workers' shards are gone; a fresh space adopts the
+    /// crashed image with the gate cleared.
+    fn restart(
+        &self,
+        k: u64,
+        image: &Arc<SharedPool>,
+    ) -> std::result::Result<(AddressSpace, PoolId), String> {
+        image.set_faults(FaultPlan::disabled());
+        let mut space = AddressSpace::new(mix(self.spec.core.seed, 0x42EC ^ k));
+        let pool = space.adopt_shared(image).map_err(|e| format!("harness error: {e}"))?;
+        Ok((space, pool))
+    }
 
-    let mut env = ExecEnv::builder(rspace).mode(Mode::Hw).pool(rpool).build();
-    let dir = env.root(site!("mt.sweep-check", KnownReturn)).map_err(e2s)?;
-    for t in 0..u64::from(spec.threads) {
-        let desc = env
-            .read_ptr(site!("mt.sweep-reopen", KnownReturn), dir, (t * 8) as i64)
-            .map_err(e2s)?;
-        let mut store: KvStore<RbTree> = KvStore::open(desc);
+    /// The oracle battery, per thread, over a restarted (and normally
+    /// recovered) image.
+    fn check(
+        &self,
+        space: AddressSpace,
+        pool: PoolId,
+        run: &Run<Arc<SharedPool>, Vec<u64>>,
+    ) -> std::result::Result<(), String> {
+        let e2s = |e: HeapError| format!("harness error: {e}");
+        let (seed, spec) = (self.spec.core.seed, &self.spec);
+        run.image.validate().map_err(|e| format!("allocator invariants violated: {e}"))?;
+        let mut env = ExecEnv::builder(space).mode(Mode::Hw).pool(pool).build();
+        let dir = env.root(site!("mt.sweep-check", KnownReturn)).map_err(e2s)?;
+        for t in 0..u64::from(spec.threads) {
+            let desc = env
+                .read_ptr(site!("mt.sweep-reopen", KnownReturn), dir, (t * 8) as i64)
+                .map_err(e2s)?;
+            let mut store: KvStore<RbTree> = KvStore::open(desc);
 
-        // Oracle 1: the structure's own invariants.
-        let validated =
-            catch_unwind(AssertUnwindSafe(|| RbTree::open(desc).validate(&mut env)));
-        let count = match validated {
-            Ok(Ok(n)) => n,
-            Ok(Err(e)) => return Err(format!("thread {t}: validator errored: {e}")),
-            Err(_) => return Err(format!("thread {t}: invariant violated")),
-        };
+            // Oracle 1: the structure's own invariants.
+            let count = validated(|| store.index().validate(&mut env))
+                .map_err(|detail| format!("thread {t}: {detail}"))?;
 
-        // Oracle 2: exact contents against thread t's transaction-prefix
-        // model. The counter key names the prefix; the crashed op either
-        // rolled back (counter == committed) or its commit record landed
-        // right at the boundary (counter == committed + 1).
-        let c = d.committed[t as usize];
-        let counter = store.get(&mut env, counter_key(t)).map_err(e2s)?.unwrap_or(u64::MAX);
-        if counter != c && counter != c + 1 {
-            return Err(format!(
-                "thread {t}: counter {counter} matches no transaction boundary (committed {c})"
-            ));
-        }
-        if count != spec.prepopulate + 1 + counter {
-            return Err(format!(
-                "thread {t}: store holds {count} keys, expected {}",
-                spec.prepopulate + 1 + counter
-            ));
-        }
-        for j in 0..spec.ops_per_thread {
-            let got = store.get(&mut env, op_key(t, j)).map_err(e2s)?;
-            let want = (j < counter).then(|| op_val(spec.seed, t, j));
-            if got != want {
+            // Oracle 2: exact contents against thread t's transaction-prefix
+            // model. The counter key names the prefix; the crashed op either
+            // rolled back (counter == committed) or its commit record landed
+            // right at the boundary (counter == committed + 1).
+            let c = run.seen[t as usize];
+            let counter = store.get(&mut env, counter_key(t)).map_err(e2s)?.unwrap_or(u64::MAX);
+            if counter != c && counter != c + 1 {
                 return Err(format!(
-                    "thread {t}: op key {j} read {got:?}, expected {want:?} at prefix {counter}"
+                    "thread {t}: counter {counter} matches no transaction boundary (committed {c})"
                 ));
             }
-        }
-        for i in 0..spec.prepopulate {
-            if store.get(&mut env, prepop_key(t, i)).map_err(e2s)?
-                != Some(prepop_val(spec.seed, t, i))
-            {
-                return Err(format!("thread {t}: prepopulated key {i} damaged"));
+            if count != spec.prepopulate + 1 + counter {
+                return Err(format!(
+                    "thread {t}: store holds {count} keys, expected {}",
+                    spec.prepopulate + 1 + counter
+                ));
             }
+            for j in 0..spec.ops_per_thread {
+                let got = store.get(&mut env, op_key(t, j)).map_err(e2s)?;
+                let want = (j < counter).then(|| op_val(seed, t, j));
+                if got != want {
+                    return Err(format!(
+                        "thread {t}: op key {j} read {got:?}, expected {want:?} at prefix {counter}"
+                    ));
+                }
+            }
+            for i in 0..spec.prepopulate {
+                if store.get(&mut env, prepop_key(t, i)).map_err(e2s)?
+                    != Some(prepop_val(seed, t, i))
+                {
+                    return Err(format!("thread {t}: prepopulated key {i} damaged"));
+                }
+            }
+
+            // Oracle 3: the recovered store still works.
+            let probe = u64::MAX - 1 - t;
+            store.set(&mut env, probe, 0xFEED).map_err(e2s)?;
+            if store.get(&mut env, probe).map_err(e2s)? != Some(0xFEED) {
+                return Err(format!("thread {t}: post-recovery probe key not readable"));
+            }
+            store.remove(&mut env, probe).map_err(e2s)?;
+        }
+        Ok(())
+    }
+}
+
+impl Workload for MtSweep {
+    type Image = Arc<SharedPool>;
+    /// Transactions each thread saw commit.
+    type Seen = Vec<u64>;
+
+    /// Replays the interleaved schedule on a snapshot of the base image:
+    /// one logical env + store per thread, each transaction owned by
+    /// exactly one thread's undo-log slot. Serial execution in schedule
+    /// order is what makes the armed boundary land at the same
+    /// instruction every replay; a tripped gate is machine-wide, so every
+    /// thread stops at the first crash.
+    fn run(&self, crash_at: Option<u64>) -> Result<Run<Arc<SharedPool>, Vec<u64>>> {
+        let (seed, t64) = (self.spec.core.seed, u64::from(self.spec.threads));
+        let image = self.base.snapshot();
+        image.set_faults(crash_at.map_or(FaultPlan::counting(), FaultPlan::crash_at));
+        let mut envs: Vec<ExecEnv<NullSink>> = Vec::with_capacity(t64 as usize);
+        let mut stores: Vec<KvStore<RbTree>> = Vec::with_capacity(t64 as usize);
+        for t in 0..t64 {
+            let mut space = AddressSpace::new(mix(seed, 0xD21 ^ (t + 1)));
+            let pool = space.adopt_shared(&image)?;
+            space.bind_arena_slab(pool, self.slabs[t as usize])?;
+            let mut env = ExecEnv::builder(space).mode(Mode::Hw).pool(pool).txn_slot(t).build();
+            let dir = env.root(site!("mt.sweep-open", KnownReturn))?;
+            let desc = env.read_ptr(site!("mt.sweep-desc", KnownReturn), dir, (t * 8) as i64)?;
+            stores.push(KvStore::open(desc));
+            envs.push(env);
         }
 
-        // Oracle 3: the recovered store still works.
-        let probe = u64::MAX - 1 - t;
-        store.set(&mut env, probe, 0xFEED).map_err(e2s)?;
-        if store.get(&mut env, probe).map_err(e2s)? != Some(0xFEED) {
-            return Err(format!("thread {t}: post-recovery probe key not readable"));
+        let mut committed = vec![0u64; t64 as usize];
+        let mut err = None;
+        for (t, j) in steps(&self.order) {
+            let ti = t as usize;
+            let (env, store) = (&mut envs[ti], &mut stores[ti]);
+            let (key, val) = (op_key(u64::from(t), j), op_val(seed, u64::from(t), j));
+            let r = env.with_txn(|env| {
+                store.set(env, key, val)?;
+                store.set(env, counter_key(u64::from(t)), j + 1)?;
+                Ok(())
+            });
+            match r {
+                Ok(()) => committed[ti] += 1,
+                Err(e) => {
+                    err = Some(e);
+                    break;
+                }
+            }
         }
-        store.remove(&mut env, probe).map_err(e2s)?;
+        let writes = image.faults().writes();
+        Ok(Run { image, seen: committed, writes, end: End::of(err) })
     }
-    Ok(rolled)
+
+    /// Restarts, rolls back **every** thread's undo-log slot
+    /// ([`UndoLog::recover`] walks the whole slot directory), and runs the
+    /// oracle battery per thread.
+    fn audit(
+        &self,
+        k: u64,
+        run: Run<Arc<SharedPool>, Vec<u64>>,
+    ) -> std::result::Result<Verdict, String> {
+        let (mut space, pool) = self.restart(k, &run.image)?;
+        let rolled =
+            UndoLog::recover(&mut space, pool).map_err(|e| format!("recovery failed: {e}"))?;
+        self.check(space, pool, &run)?;
+        Ok(Verdict::Recovered { cut: rolled })
+    }
 }
 
 /// Sweeps every (or a seeded sample of) crash boundary of an N-thread
@@ -530,41 +498,14 @@ fn check_point(
 /// # Errors
 ///
 /// Propagates setup failures (crash-consistency findings land in
-/// [`MtSweepReport::failures`]).
-pub fn mt_crash_sweep(spec: &MtSweepSpec) -> Result<MtSweepReport> {
+/// [`SweepReport::failures`]).
+///
+/// # Panics
+///
+/// Panics when `spec.threads` is zero.
+pub fn mt_crash_sweep(spec: &MtSweepSpec) -> Result<SweepReport> {
     assert!(spec.threads > 0, "sweep over zero threads");
-    let (base, slabs) = build_sweep_base(spec)?;
-    let counts = vec![spec.ops_per_thread; spec.threads as usize];
-    let order = schedule(Policy::Seeded(spec.seed), &counts);
-
-    // Count the interleaved workload's durable-write boundaries.
-    let counting = base.snapshot();
-    counting.set_faults(FaultPlan::counting());
-    let d = drive(&counting, &slabs, spec, &order)?;
-    if let Some(e) = d.hard {
-        return Err(e);
-    }
-    debug_assert!(!d.crashed, "counting plan never trips");
-    let total = counting.faults().writes();
-
-    let points = select_points(total, spec.exhaustive_limit, spec.samples, spec.seed);
-    let mut report = MtSweepReport {
-        threads: spec.threads,
-        boundaries: total,
-        tested: points.len() as u64,
-        rollbacks: 0,
-        failures: Vec::new(),
-    };
-    for k in points {
-        match check_point(&base, &slabs, spec, &order, k) {
-            Ok(true) => report.rollbacks += 1,
-            Ok(false) => {}
-            Err(detail) => {
-                report.failures.push(SweepFailure { crash_point: k, seed: spec.seed, detail });
-            }
-        }
-    }
-    Ok(report)
+    sweep(RbTree::NAME, &MtSweep::prepare(spec)?, &spec.core)
 }
 
 #[cfg(test)]
@@ -614,9 +555,53 @@ mod tests {
     #[test]
     fn mt_crash_sweep_four_threads_sampled_is_clean() {
         let r = mt_crash_sweep(&MtSweepSpec::sampled(11, 4, 4, 12)).unwrap();
-        assert_eq!(r.threads, 4);
         assert_eq!(r.tested, 12.min(r.boundaries), "sampled sweep hits the requested budget");
         assert!(r.failures.is_empty(), "{:?}", r.failures);
+    }
+
+    /// The mt workload with recovery left out: the audit restarts the
+    /// image and runs the same oracles, but never rolls back the torn
+    /// transactions.
+    struct SkipsRecovery(MtSweep);
+
+    impl Workload for SkipsRecovery {
+        type Image = Arc<SharedPool>;
+        type Seen = Vec<u64>;
+
+        fn run(&self, crash_at: Option<u64>) -> Result<Run<Arc<SharedPool>, Vec<u64>>> {
+            self.0.run(crash_at)
+        }
+
+        fn audit(
+            &self,
+            k: u64,
+            run: Run<Arc<SharedPool>, Vec<u64>>,
+        ) -> std::result::Result<Verdict, String> {
+            let (space, pool) = self.0.restart(k, &run.image)?;
+            self.0.check(space, pool, &run)?;
+            Ok(Verdict::Recovered { cut: false })
+        }
+    }
+
+    /// The oracle battery is not vacuous: the same sweep that recovers
+    /// cleanly (and rolls transactions back) fails once the audit skips
+    /// `UndoLog::recover`, and every failure names its replay line.
+    #[test]
+    fn sweep_without_recovery_fails_with_replay_lines() {
+        let spec = MtSweepSpec::small(5);
+        let clean = mt_crash_sweep(&spec).unwrap();
+        assert!(clean.rollbacks > 0, "the sweep must tear transactions for recovery to matter");
+        assert!(clean.failures.is_empty(), "{:?}", clean.failures);
+
+        let broken = sweep("RB", &SkipsRecovery(MtSweep::prepare(&spec).unwrap()), &spec.core);
+        let broken = broken.unwrap();
+        assert_eq!(broken.tested, clean.tested);
+        assert!(!broken.failures.is_empty(), "skipping recovery must trip an oracle");
+        for f in &broken.failures {
+            let line = f.to_string();
+            let replay = format!("crash point {} (replay with UTPR_QC_SEED=5)", f.crash_point);
+            assert!(line.starts_with(&replay), "failure without a replay line: {line}");
+        }
     }
 
     #[test]

@@ -4,6 +4,11 @@
 # attempted — --offline makes any accidental reintroduction of an external
 # dependency fail loudly instead of hanging on the network).
 #
+# The default path also runs a seeded-replay gate: every test that replays
+# a turnstile schedule (qc sched, the kv concurrent-sweep and endurance
+# replay tests, the quarantine race) runs 10 times, and any failing run
+# fails the gate — a replay that diverges once is a bug, not noise.
+#
 # Usage: scripts/verify.sh [--bench] [--bench-smoke] [--faults] [--corruption]
 #                          [--hotpath] [--interp] [--mt] [--concurrent]
 #                          [--endurance] [--serve]
@@ -71,6 +76,31 @@ cargo build --release --offline
 
 echo "== tier-1: cargo test -q (workspace) =="
 cargo test -q --workspace --offline
+
+# Runs one turnstile-replay test selection 10 times; fails on any failing
+# run, and on a filter that matches no test (a vacuous pass).
+replay_runs=10
+replay_test() {
+    local log
+    log=$(mktemp)
+    for ((i = 1; i <= replay_runs; i++)); do
+        if ! cargo test -q --offline "$@" > "$log" 2>&1 \
+            || ! grep -q "test result: ok. [1-9]" "$log"; then
+            cat "$log" >&2
+            rm -f "$log"
+            echo "verify: replay gate failed on run $i/$replay_runs: cargo test $*" >&2
+            exit 1
+        fi
+    done
+    rm -f "$log"
+    echo "replay: $replay_runs/$replay_runs runs passed: cargo test $*"
+}
+
+echo "== tier-1: seeded-replay gate (${replay_runs} runs per test) =="
+replay_test -p utpr-qc --lib sched
+replay_test -p utpr-kv --lib conc_sweep_replays_under_a_fixed_seed
+replay_test -p utpr-kv --lib soak_replays_bit_for_bit_under_one_seed
+replay_test --test crash_matrix quarantine_escape_hatches_race_guarded_readers
 
 run_bench=0
 run_smoke=0
